@@ -156,6 +156,9 @@ print(f\"group commit at 16 clients: {at16['speedup']:.2f}x ops/s over \"
       f\"{at16['group']['window_occupancy']:.1f} commits/window)\")
 "
 
+echo "==> benchmark self-tests (perfbench/tests)"
+python -m pytest -q perfbench/tests
+
 echo "==> tier-1 suite under the runtime sanitizer (REPRO_SANITIZE=1)"
 REPRO_SANITIZE=1 python -m pytest -x -q
 

@@ -441,18 +441,31 @@ class BLinkTree:
             hi = view.key_at(slot + 1) if slot + 1 < view.n_keys else None
         return bounds.child(lo, hi)
 
-    def _descend(self, key: bytes, *, stop_level: int = 0) -> list[PathEntry]:
+    def _descend(self, key: bytes, *, stop_level: int = 0,
+                 held: list[PathEntry] | None = None) -> list[PathEntry]:
         """Descend from the root toward *key*, verifying and repairing each
         parent→child step, until a page at *stop_level* is reached.  Every
         page on the returned path is pinned; the caller must run
-        :meth:`_unpin_path`."""
-        root = self._load_root_checked()
-        if root == INVALID_PAGE:
-            return []
-        path: list[PathEntry] = []
-        page_no = root
-        bounds = FULL_BOUNDS
-        buf, view = self._pin(page_no)
+        :meth:`_unpin_path`.
+
+        *held* is a pinned, verified path prefix that
+        :meth:`_resumable_prefix` accepted for *key*: the descent then
+        starts at its last page instead of the root, re-entering it through
+        the same ``_follow_moves`` a root descent runs.  The held pins pass
+        to the returned path (and are released with it on an error)."""
+        if held:
+            path = held
+            top = path.pop()
+            page_no, buf, view, bounds = (top.page_no, top.buffer, top.view,
+                                          top.bounds)
+        else:
+            root = self._load_root_checked()
+            if root == INVALID_PAGE:
+                return []
+            path = []
+            page_no = root
+            bounds = FULL_BOUNDS
+            buf, view = self._pin(page_no)
         try:
             while True:
                 page_no, buf, view, bounds = self._follow_moves(
@@ -489,6 +502,46 @@ class BLinkTree:
     def _unpin_path(self, path: list[PathEntry]) -> None:
         for entry in path:
             self._unpin(entry.buffer)
+
+    @staticmethod
+    def _holds(entry: PathEntry, key: bytes) -> bool:
+        """Whether a descent toward *key* provably leaves *entry*'s page as
+        it is: the key is inside the page's bounds and ``_follow_moves``
+        cannot move right past it (a Lehman-Yao move needs a key beyond the
+        page's live span and a right peer)."""
+        if not entry.bounds.contains(key):
+            return False
+        view = entry.view
+        return (view.right_peer == INVALID_PAGE or not view.n_keys
+                or key <= view.max_key())
+
+    def _path_seal(self, prefix: list[PathEntry]) -> tuple:
+        """What must stay unchanged for a verified *prefix* to be reused:
+        the structure stamp (splits, repairs/heals, root moves, reclaims),
+        the sync counter, and each held frame's content version."""
+        return (self._fp_stamp(), self._token(),
+                [entry.buffer.version for entry in prefix])
+
+    def _resumable_prefix(self, prefix: list[PathEntry], seal: tuple | None,
+                          key: bytes) -> list[PathEntry]:
+        """Trim *prefix* — pinned ancestors kept from the previous leaf run,
+        sealed by :meth:`_path_seal` when they were verified — to the part
+        a descent toward *key* may reuse, releasing the rest.
+
+        Nothing is reused unless the seal still matches.  If it does, the
+        prefix is cut at the first page (from the root) that does not
+        :meth:`_holds` *key*: the pages kept route *key* exactly as a root
+        descent would, and the descent resumed at the last of them re-runs
+        ``_follow_moves`` there and both checks on every page below."""
+        keep = 0
+        if seal is not None and seal == self._path_seal(prefix):
+            for entry in prefix:
+                if not self._holds(entry, key):
+                    break
+                keep += 1
+        self._unpin_path(prefix[keep:])
+        del prefix[keep:]
+        return prefix
 
     # hooks ---------------------------------------------------------------
 
@@ -617,34 +670,52 @@ class BLinkTree:
             leaf = path[-1]
             self._ensure_peer_path(leaf)
             self._before_page_update(path, len(path) - 1)
-            slot, found = leaf.view.search(key)
-            if found:
-                raise DuplicateKeyError(
-                    f"key {value!r} already present; POSTGRES would have "
-                    "made it unique with make_unique()"
-                )
-            item = I.pack_leaf_item(key, tid)
-            if self._page_can_fit(leaf.view, len(item)):
-                keys = leaf.view.cached_keys
-                leaf.view.insert_item(slot, item)
-                self._dirty(leaf.buffer)
-                fp = self._fastpath
-                if fp is not None and keys is not None:
-                    fp.note_insert(leaf.buffer, slot, key, keys)
+            if not self._insert_on_path(path, key, value, tid):
                 self._fp_remember(leaf)
-            else:
-                started = perf_counter()
-                splits_before = self._m_splits.value
-                self._split_and_insert(path, len(path) - 1, item, key)
-                duration = perf_counter() - started
-                self._h_split_seconds.observe(duration)
-                get_trace().emit(
-                    "split", file=self.file.name, page=leaf.page_no,
-                    token=self._token(), duration=duration,
-                    technique=self.KIND,
-                    pages_split=self._m_splits.value - splits_before)
         finally:
             self._unpin_path(path)
+
+    def _insert_on_path(self, path: list[PathEntry], key: bytes, value,
+                        tid: TID) -> bool:
+        """Insert *key* into the leaf ``path[-1]``, whose peer-path and
+        reclamation checks have run, splitting it on *path* when full.
+        Returns whether the tree was restructured (a split)."""
+        leaf = path[-1]
+        view = leaf.view
+        slot, found = view.search(key)
+        if found:
+            raise DuplicateKeyError(
+                f"key {value!r} already present; POSTGRES would have "
+                "made it unique with make_unique()"
+            )
+        item = I.pack_leaf_item(key, tid)
+        if not self._page_can_fit(view, len(item)):
+            self._split_leaf(path, item, key)
+            return True
+        keys = view.cached_keys
+        view.insert_item(slot, item)
+        self._dirty(leaf.buffer)
+        fp = self._fastpath
+        if (fp is not None and keys is not None
+                and fp.note_insert(leaf.buffer, slot, key, keys)):
+            view.cached_keys = keys
+        return False
+
+    def _split_leaf(self, path: list[PathEntry], item: bytes,
+                    key: bytes) -> None:
+        """Split the full leaf ``path[-1]`` around *item* with the
+        technique's :meth:`_split_and_insert`, timed for the split
+        histogram and the trace."""
+        page_no = path[-1].page_no
+        started = perf_counter()
+        splits_before = self._m_splits.value
+        self._split_and_insert(path, len(path) - 1, item, key)
+        duration = perf_counter() - started
+        self._h_split_seconds.observe(duration)
+        get_trace().emit(
+            "split", file=self.file.name, page=page_no,
+            token=self._token(), duration=duration, technique=self.KIND,
+            pages_split=self._m_splits.value - splits_before)
 
     def _finger_insert(self, key: bytes, value, tid: TID) -> bool:
         """Serve an insert from the leaf finger; False → full descent."""
@@ -709,21 +780,32 @@ class BLinkTree:
             leaf = path[-1]
             self._ensure_peer_path(leaf)
             self._before_page_update(path, len(path) - 1)
-            slot, found = leaf.view.search(key)
-            if not found:
-                raise KeyNotFoundError(f"key {value!r} not in index")
-            keys = leaf.view.cached_keys
-            leaf.view.delete_item(slot)
-            self._dirty(leaf.buffer)
-            fp = self._fastpath
-            if fp is not None and keys is not None:
-                fp.note_delete(leaf.buffer, slot, keys)
-            if leaf.view.n_keys == 0 and len(path) > 1:
-                self._reclaim_empty_page(path, len(path) - 1)
-            else:
+            if not self._delete_on_path(path, key, value):
                 self._fp_remember(leaf)
         finally:
             self._unpin_path(path)
+
+    def _delete_on_path(self, path: list[PathEntry], key: bytes,
+                        value) -> bool:
+        """Delete *key* from the leaf ``path[-1]``, whose peer-path and
+        reclamation checks have run, reclaiming the page on *path* when it
+        empties.  Returns whether the tree was restructured (a reclaim)."""
+        leaf = path[-1]
+        view = leaf.view
+        slot, found = view.search(key)
+        if not found:
+            raise KeyNotFoundError(f"key {value!r} not in index")
+        keys = view.cached_keys
+        view.delete_item(slot)
+        self._dirty(leaf.buffer)
+        fp = self._fastpath
+        if (fp is not None and keys is not None
+                and fp.note_delete(leaf.buffer, slot, keys)):
+            view.cached_keys = keys
+        if view.n_keys == 0 and len(path) > 1:
+            self._reclaim_empty_page(path, len(path) - 1)
+            return True
+        return False
 
     def _finger_delete(self, key: bytes, value) -> bool:
         """Serve a delete from the leaf finger; False → full descent."""
@@ -749,17 +831,18 @@ class BLinkTree:
             self._unpin(entry.buffer)
 
     # ------------------------------------------------------------------
-    # batched operations (one descent amortized across a leaf's keys)
+    # batched operations (one verified path reused across a batch)
     # ------------------------------------------------------------------
 
     def insert_many(self, pairs) -> int:
         """Insert many ``(value, tid)`` pairs; returns the number stored.
 
-        The batch is sorted by encoded key, and every run of keys landing
-        on the same leaf shares one descent (plus one peer-path check and
-        one reclamation check).  Keys that need a split, or whose leaf
-        cannot be proven responsible in place, fall back to the normal
-        single-key :meth:`insert`.  A :class:`DuplicateKeyError` aborts
+        The batch is sorted by encoded key and applied leaf run by leaf
+        run (:meth:`_run_batch`): the keys landing on one leaf share one
+        descent, one peer-path check and one reclamation check, and the
+        next run's descent resumes from the deepest ancestor still
+        responsible for its key instead of the root.  A full leaf is split
+        in place on the held path.  A :class:`DuplicateKeyError` aborts
         the batch mid-way: earlier keys stay inserted, like a sequence of
         single inserts would leave them.
         """
@@ -770,122 +853,72 @@ class BLinkTree:
                 tid = TID(*tid)
             batch.append((encode(value), value, tid))
         batch.sort(key=lambda e: e[0])
-        fp = self._fastpath
-        done = 0
-        i = 0
-        n = len(batch)
-        while i < n:
-            key, value, tid = batch[i]
-            if self._load_root_checked() == INVALID_PAGE:
-                self._create_first_root()
-            path = self._descend(key)
-            leaf = path[-1]
-            advanced = False
-            try:
-                self._ensure_peer_path(leaf)
-                self._before_page_update(path, len(path) - 1)
-                view = leaf.view
-                bounds = leaf.bounds
-                rightmost = view.right_peer == INVALID_PAGE
-                while i < n:
-                    key, value, tid = batch[i]
-                    if not bounds.contains(key):
-                        break
-                    if (not rightmost and view.n_keys
-                            and key > view.max_key()):
-                        # move-right territory; let the descent decide
-                        break
-                    keys = view.cached_keys
-                    slot, found = view.search(key)
-                    if found:
-                        raise DuplicateKeyError(
-                            f"key {value!r} already present; POSTGRES "
-                            "would have made it unique with make_unique()")
-                    item = I.pack_leaf_item(key, tid)
-                    if not self._page_can_fit(view, len(item)):
-                        break
-                    view.insert_item(slot, item)
-                    self._dirty(leaf.buffer)
-                    if (fp is not None and keys is not None
-                            and fp.note_insert(leaf.buffer, slot, key,
-                                               keys)):
-                        view.cached_keys = keys
-                    if advanced and fp is not None:
-                        fp.batched_amortized += 1
-                    i += 1
-                    done += 1
-                    advanced = True
-                if advanced:
-                    self._fp_remember(leaf)
-            finally:
-                self._unpin_path(path)
-            if not advanced:
-                # full page (split) or ambiguous span: one normal insert
-                self.insert(value, tid)
-                i += 1
-                done += 1
-        return done
+        if batch and self._load_root_checked() == INVALID_PAGE:
+            self._create_first_root()
+        return self._run_batch(batch, self._insert_on_path)
 
     def delete_many(self, values) -> int:
         """Delete many values; returns the count removed.  Sorted-batch
-        twin of :meth:`insert_many`; deletes that would empty a page fall
-        back to the single-key :meth:`delete` (reclamation needs the
-        parent path).  A :class:`KeyNotFoundError` aborts mid-batch with
-        earlier keys already removed."""
+        twin of :meth:`insert_many`; a delete that empties a leaf reclaims
+        it in place on the held path.  A :class:`KeyNotFoundError` aborts
+        mid-batch with earlier keys already removed."""
         encode = self.codec.encode
         batch = sorted(((encode(v), v) for v in values),
                        key=lambda e: e[0])
+        return self._run_batch(batch, self._delete_on_path)
+
+    def _run_batch(self, batch: list, apply) -> int:
+        """Apply a key-sorted *batch* of ``(key, ...)`` tuples leaf run by
+        leaf run; ``apply(path, *entry)`` changes the leaf ``path[-1]``
+        for one entry and returns whether it restructured the tree.
+
+        A run starts with a descent toward its first key and takes every
+        following key the leaf :meth:`_holds`.  After the run only the leaf
+        is released: the ancestors stay pinned, and the next run's descent
+        resumes below the part of them :meth:`_resumable_prefix` accepts,
+        so an edge is checked on its first use in the batch, not on every
+        use.  A split or reclaim ends the run and releases the whole path.
+        Returns the number of entries applied.
+        """
         fp = self._fastpath
-        done = 0
-        i = 0
-        n = len(batch)
-        while i < n:
-            key, value = batch[i]
-            path = self._descend(key)
-            if not path:
-                raise KeyNotFoundError(
-                    f"key {value!r} not in index (empty tree)")
-            leaf = path[-1]
-            advanced = False
-            try:
+        path: list[PathEntry] = []  # pinned; between runs, the ancestors
+        seal = None
+        done, n = 0, len(batch)
+        try:
+            while done < n:
+                key = batch[done][0]
+                held = self._resumable_prefix(path, seal, key)
+                path = []
+                if fp is not None:
+                    if held:
+                        fp.batch_resumed += 1
+                    else:
+                        fp.batch_root_descents += 1
+                path = self._descend(key, held=held)
+                if not path:
+                    raise KeyNotFoundError(
+                        f"key {batch[done][1]!r} not in index (empty tree)")
+                seal = self._path_seal(path[:-1])
+                leaf = path[-1]
                 self._ensure_peer_path(leaf)
                 self._before_page_update(path, len(path) - 1)
-                view = leaf.view
-                bounds = leaf.bounds
-                rightmost = view.right_peer == INVALID_PAGE
-                while i < n:
-                    key, value = batch[i]
-                    if not bounds.contains(key):
-                        break
-                    if (not rightmost and view.n_keys
-                            and key > view.max_key()):
-                        break
-                    if view.n_keys <= 1:
-                        # emptying the page reclaims it; descent handles it
-                        break
-                    keys = view.cached_keys
-                    slot, found = view.search(key)
-                    if not found:
-                        raise KeyNotFoundError(
-                            f"key {value!r} not in index")
-                    view.delete_item(slot)
-                    self._dirty(leaf.buffer)
-                    if (fp is not None and keys is not None
-                            and fp.note_delete(leaf.buffer, slot, keys)):
-                        view.cached_keys = keys
-                    if advanced and fp is not None:
-                        fp.batched_amortized += 1
-                    i += 1
-                    done += 1
-                    advanced = True
-                if advanced:
-                    self._fp_remember(leaf)
-            finally:
-                self._unpin_path(path)
-            if not advanced:
-                self.delete(value)
-                i += 1
+                restructured = apply(path, *batch[done])
                 done += 1
+                while (not restructured and done < n
+                       and self._holds(leaf, batch[done][0])):
+                    restructured = apply(path, *batch[done])
+                    done += 1
+                    if fp is not None:
+                        fp.batched_amortized += 1
+                if restructured:
+                    self._unpin_path(path)
+                    path = []
+                else:
+                    self._fp_remember(leaf)
+                    path.pop()
+                    self._unpin(leaf.buffer)
+        finally:
+            self._unpin_path(path)
         return done
 
     def range_scan(self, lo=None, hi=None) -> Iterator[tuple[object, TID]]:

@@ -89,7 +89,8 @@ class FastPath:
                  "cache_hits", "cache_misses", "cache_evictions",
                  "finger_page", "finger_bounds", "finger_stamp",
                  "finger_hits", "finger_misses", "finger_flushes",
-                 "batched_amortized")
+                 "batched_amortized", "batch_root_descents",
+                 "batch_resumed")
 
     def __init__(self, *, kind: str, file_name: str,
                  cache_cap: int = DEFAULT_CACHE_CAP):
@@ -107,6 +108,10 @@ class FastPath:
         self.finger_misses = 0
         self.finger_flushes = 0
         self.batched_amortized = 0
+        #: batch leaf runs reached by a root descent vs. by a descent
+        #: resumed from the previous run's held ancestors
+        self.batch_root_descents = 0
+        self.batch_resumed = 0
         reg = get_registry()
         labels = {"kind": kind, "file": file_name}
         reg.func_counter("fastpath.page_cache.hits",
@@ -123,6 +128,10 @@ class FastPath:
                          lambda: self.finger_flushes, **labels)
         reg.func_counter("fastpath.batch.amortized",
                          lambda: self.batched_amortized, **labels)
+        reg.func_counter("fastpath.batch.root_descents",
+                         lambda: self.batch_root_descents, **labels)
+        reg.func_counter("fastpath.batch.resumed",
+                         lambda: self.batch_resumed, **labels)
 
     # -- decoded-key directory ---------------------------------------------
 

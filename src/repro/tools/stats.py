@@ -280,6 +280,9 @@ def _fastpath_summary(snapshot: dict) -> dict | None:
         "finger_hit_rate": rate("fastpath.finger.hits",
                                 "fastpath.finger.misses"),
         "descents_amortized": totals.get("fastpath.batch.amortized", 0),
+        "batch_root_descents": totals.get("fastpath.batch.root_descents",
+                                          0),
+        "batch_resumed_descents": totals.get("fastpath.batch.resumed", 0),
     }
 
 
@@ -374,8 +377,10 @@ def render_report(doc: dict) -> str:
             value = fastpath.get(key)
             lines.append(f"  {label:<22} "
                          f"{'-' if value is None else f'{value:.1%}'}")
-        lines.append(f"  {'descents amortized':<22} "
-                     f"{fastpath['descents_amortized']}")
+        for label, key in (("descents amortized", "descents_amortized"),
+                           ("batch root descents", "batch_root_descents"),
+                           ("batch resumed", "batch_resumed_descents")):
+            lines.append(f"  {label:<22} {fastpath.get(key, 0)}")
     serving = doc.get("serving")
     if serving:
         lines += ["", "serving summary:"]

@@ -1,12 +1,20 @@
 """Regression tests for the exception-window pin leaks the flow lint
 (R011/R013) surfaced: a failure injected into the middle of a descent,
-and a crash-recovery repair, must both leave the buffer pool with zero
+a crash-recovery repair, and an error inside a batch that holds its
+verified path between leaf runs must all leave the buffer pool with zero
 outstanding pins."""
 
 import pytest
 
-from repro import TID, TREE_CLASSES, StorageEngine
+from repro import (
+    TID,
+    TREE_CLASSES,
+    DuplicateKeyError,
+    KeyNotFoundError,
+    StorageEngine,
+)
 from repro.core.concurrency import set_schedule_hook
+from repro.fastpath import overridden
 
 from ..recovery.helpers import build_to_split, crash_keeping
 
@@ -71,3 +79,73 @@ def test_reorg_recovery_repair_leaves_no_pins(keep):
     missing = [k for k in committed if tree2.lookup(k) is None]
     assert not missing
     assert tree2.file.pool.total_pins() == 0
+
+
+def _build_deep(kind):
+    engine = StorageEngine.create(page_size=PAGE, seed=3)
+    tree = TREE_CLASSES[kind].create(engine, "ix", codec="uint32")
+    for i in range(0, 600, 2):
+        tree.insert(i, tid_for(i))
+    assert tree.height >= 2
+    return tree
+
+
+def _fault_on_resumed_check(tree) -> None:
+    """Make ``_check_child`` raise, but only inside a descent resumed from
+    a batch's held path."""
+    real_descend, real_check = tree._descend, tree._check_child
+    resuming = []
+
+    def descend(key, *, stop_level=0, held=None):
+        resuming.append(bool(held))
+        try:
+            return real_descend(key, stop_level=stop_level, held=held)
+        finally:
+            resuming.pop()
+
+    def check_child(*args):
+        if resuming and resuming[-1]:
+            raise RuntimeError("injected fault on a resumed edge")
+        return real_check(*args)
+
+    tree._descend = descend
+    tree._check_child = check_child
+
+
+@pytest.mark.parametrize("kind", ["shadow", "reorg", "hybrid"])
+def test_resumed_check_child_fault_releases_every_pin(kind):
+    tree = _build_deep(kind)
+    _fault_on_resumed_check(tree)
+    # odd keys a page apart: the second key needs a resumed descent
+    with pytest.raises(RuntimeError, match="resumed edge"):
+        tree.insert_many((k, tid_for(k)) for k in range(1, 600, 40))
+    assert tree.file.pool.total_pins() == 0
+    del tree._descend, tree._check_child
+    # the keys before the fault landed, the rest did not
+    landed = [k for k in range(1, 600, 40) if tree.lookup(k) is not None]
+    assert landed and landed == list(range(1, 1 + 40 * len(landed), 40))
+    assert tree.insert_many((k, tid_for(k)) for k in range(3, 600, 40)) \
+        == 15
+    assert tree.file.pool.total_pins() == 0
+    assert len(tree.check()) == 300 + len(landed) + 15
+
+
+@pytest.mark.parametrize("kind", sorted(TREE_CLASSES))
+def test_error_after_resume_releases_every_pin(kind):
+    with overridden(True):
+        tree = _build_deep(kind)
+    fp = tree._fastpath
+    # the duplicate (300) is reached only after resumed descents
+    with pytest.raises(DuplicateKeyError):
+        tree.insert_many((k, tid_for(k))
+                         for k in [*range(1, 299, 40), 300])
+    assert fp.batch_resumed > 0
+    assert tree.file.pool.total_pins() == 0
+    resumed = fp.batch_resumed
+    # the missing key (301) likewise, after resumed deletes
+    with pytest.raises(KeyNotFoundError):
+        tree.delete_many([*range(0, 299, 40), 301])
+    assert fp.batch_resumed > resumed
+    assert tree.file.pool.total_pins() == 0
+    # eight keys were inserted before the duplicate, eight deleted
+    assert len(tree.check()) == 300

@@ -87,8 +87,8 @@ def test_delete_many_missing_key_aborts_mid_batch(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_cross_leaf_batch_spans_splits(kind):
-    """A batch far bigger than one page forces splits mid-batch; the
-    fallback single-insert path absorbs the heads that cannot fit."""
+    """A batch far bigger than one page forces splits mid-batch; each
+    full leaf is split in place on the batch's held path."""
     with overridden(True):
         engine, tree = build(kind)
         n = 1200
